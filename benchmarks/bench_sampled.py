@@ -55,8 +55,8 @@ from repro.harness.fastforward import (
     iter_chain,
     sample_plan,
 )
+from repro.harness.parallel import _apply_override as _apply
 from repro.harness.runner import run_baseline
-from repro.harness.sweep import _apply
 from repro.uarch.config import FOUR_WIDE
 from repro.uarch.stats import aggregate_stats
 from repro.workloads import registry

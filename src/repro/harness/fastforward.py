@@ -62,6 +62,7 @@ bit-identical to a full detailed run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -185,6 +186,46 @@ def build_sample_plan(
         period=period,
         depths=depths,
     )
+
+
+def request_plan(request, workload: Workload | None = None) -> SamplePlan:
+    """The window schedule of one run request: full detail is one
+    depth-0 window over the whole region (``sample == 0``), single-window
+    sampling a chain of length 1, multi-region sampling
+    :func:`build_sample_plan`'s. Only a derived multi-region period needs
+    the workload's region length (from *workload*, else a build)."""
+    if request.sample_regions < 2:
+        _region, warmup = sample_plan(request.sample)
+        return SamplePlan(
+            regions=1,
+            sample=request.sample,
+            warmup=warmup,
+            period=0,
+            depths=(request.fast_forward,),
+        )
+    total_region = 0  # unused when the period is explicit
+    if request.sample_period <= 0:
+        total_region = (
+            workload.region
+            if workload is not None
+            else _region_length(request.workload, request.scale)
+        )
+    return build_sample_plan(
+        total_region,
+        request.fast_forward,
+        request.sample,
+        request.sample_regions,
+        request.sample_period,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _region_length(name: str, scale: float) -> int:
+    """A registry workload's region length. Memoized per process: an
+    int derived from a deterministic build, so sharing it is safe."""
+    from repro.workloads import registry
+
+    return registry.build(name, scale=scale).region
 
 
 @dataclass
@@ -759,21 +800,16 @@ def ensure_snapshot(
     """Fetch (or build and persist) the snapshot for this prefix.
 
     Returns ``(snapshot, hit)`` where *hit* says the snapshot came from
-    the store. Builds are deterministic and writes are atomic, so
-    concurrent workers racing on a missing snapshot converge on
-    identical bytes.
+    the store: a one-member :func:`iter_chain`, so the snapshot is
+    byte-identical to that chain member (and a depth of 0 needs none:
+    ``(None, False)``). Builds are deterministic and
+    writes are atomic, so concurrent workers racing on a missing
+    snapshot converge on identical bytes.
     """
-    if store is None:
-        store = SnapshotStore()
-    key = snapshot_fingerprint(
-        workload.name, workload.scale, ff_insts, config, warming
+    ((snapshot, hit),) = iter_chain(
+        workload, config, (ff_insts,), warming=warming, store=store
     )
-    snapshot = store.get(key)
-    if snapshot is not None:
-        return snapshot, True
-    snapshot = fast_forward(workload, config, ff_insts, warming=warming)
-    store.put(key, snapshot)
-    return snapshot, False
+    return snapshot, hit
 
 
 def iter_chain(
@@ -789,7 +825,8 @@ def iter_chain(
 
     *depths* must be ascending (a :class:`SamplePlan`'s are). A depth
     of 0 yields ``(None, False)`` — that window starts cold at the
-    entry point. Missing members are built by one live functional pass
+    entry point, and a chain of only such windows never opens the
+    default store. Missing members are built by one live functional pass
     (:class:`_LiveRun`) threaded down the chain, captured at each
     depth — not one resume-copy-run-capture cycle per member — and
     persisted with their ``parent`` link. A mid-chain store hit
@@ -809,8 +846,6 @@ def iter_chain(
     should consume this generator and drop each snapshot before
     advancing — only the previous member is kept internally.
     """
-    if store is None:
-        store = SnapshotStore()
     prev = None
     prev_key = None
     prev_depth = None
@@ -823,6 +858,8 @@ def iter_chain(
         if depth <= 0:
             yield None, False
             continue
+        if store is None:
+            store = SnapshotStore()
         key = snapshot_fingerprint(
             workload.name, workload.scale, depth, config, warming
         )
@@ -858,34 +895,10 @@ def ensure_chain(
     Convenient for tests and small chains; for long plans over large
     memory images prefer consuming :func:`iter_chain` directly.
     """
-    members: list[Snapshot | None] = []
-    hits = 0
-    for snapshot, hit in iter_chain(
-        workload, config, depths, warming=warming, store=store
-    ):
-        members.append(snapshot)
-        hits += int(hit)
-    return members, hits
-
-
-def _plan_for_request(request, workload=None):
-    """The request's :class:`SamplePlan`, or ``None`` when it is not a
-    multi-region request. Needs the workload's region length, so a
-    prebuilt *workload* can be passed to avoid rebuilding it."""
-    regions = getattr(request, "sample_regions", 0)
-    if regions < 2:
-        return None
-    if workload is None:
-        from repro.workloads import registry
-
-        workload = registry.build(request.workload, scale=request.scale)
-    return build_sample_plan(
-        workload.region,
-        getattr(request, "fast_forward", 0),
-        request.sample,
-        regions,
-        getattr(request, "sample_period", 0),
+    chain = list(
+        iter_chain(workload, config, depths, warming=warming, store=store)
     )
+    return [snapshot for snapshot, _ in chain], sum(hit for _, hit in chain)
 
 
 @dataclass(frozen=True)
@@ -921,48 +934,33 @@ def _prebuild_entry(task: _PrebuildTask, attempt: int, fault_plan) -> int:
     timed-out attempt leaves a prefix behind and the retry resumes
     from the deepest stored member rather than starting over.
     """
-    from repro.workloads import registry
-
     if fault_plan is not None:
         fault_plan.perturb(task.request, attempt)
-    store = SnapshotStore(task.cache_root)
-    workload = registry.build(
-        task.request.workload, scale=task.request.scale
+    return _build_chain(task, SnapshotStore(task.cache_root), "parallel")
+
+
+def _build_chain(task: _PrebuildTask, store, built_by: str = "serial") -> int:
+    """Walk one task's chain into *store*; return the members built
+    fresh (the rest were store hits)."""
+    from repro.workloads import registry
+
+    request = task.request
+    workload = registry.build(request.workload, scale=request.scale)
+    chain = iter_chain(
+        workload, request.resolve_config(), task.depths,
+        store=store, built_by=built_by,
     )
-    config = task.request.resolve_config()
-    built = 0
-    for snapshot, hit in iter_chain(
-        workload, config, task.depths, store=store, built_by="parallel"
-    ):
-        if snapshot is not None and not hit:
-            built += 1
-    return built
+    return sum(not hit for _snapshot, hit in chain)
 
 
 def _prebuild_tasks(requests, store: SnapshotStore):
     """Deduplicate *requests* into the independent build units they
     need, dropping units the store already holds in full."""
-    from repro.workloads import registry
-
     tasks: list[_PrebuildTask] = []
     seen: set[tuple[str, ...]] = set()
     cache_root = str(store.root.parent)
-    workloads: dict[tuple[str, float], Workload] = {}
     for request in requests:
-        regions = getattr(request, "sample_regions", 0)
-        ff = getattr(request, "fast_forward", 0)
-        if regions < 2:
-            if ff <= 0:
-                continue
-            depths: tuple[int, ...] = (ff,)
-        else:
-            wkey = (request.workload, request.scale)
-            if wkey not in workloads:
-                workloads[wkey] = registry.build(
-                    request.workload, scale=request.scale
-                )
-            plan = _plan_for_request(request, workloads[wkey])
-            depths = tuple(d for d in plan.depths if d > 0)
+        depths = tuple(d for d in request_plan(request).depths if d > 0)
         if not depths:
             continue
         config = request.resolve_config()
@@ -1013,8 +1011,6 @@ def prebuild_snapshots(
     a plan targeting ``(request, attempt)`` perturbs the prebuild
     attempt for that request's chain.
     """
-    from repro.workloads import registry
-
     if store is None:
         store = SnapshotStore()
     tasks = _prebuild_tasks(requests, store)
@@ -1051,15 +1047,4 @@ def prebuild_snapshots(
     # Serial fallback: one worker, a single task, or a disabled store
     # (workers would each build into nothing — the parent's in-memory
     # pass is the only one that helps).
-    built = 0
-    for task in tasks:
-        workload = registry.build(
-            task.request.workload, scale=task.request.scale
-        )
-        config = task.request.resolve_config()
-        for snapshot, hit in iter_chain(
-            workload, config, task.depths, store=store
-        ):
-            if snapshot is not None and not hit:
-                built += 1
-    return built
+    return sum(_build_chain(task, store) for task in tasks)

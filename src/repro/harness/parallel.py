@@ -6,7 +6,13 @@ This module gives the harness one entry point for all of them:
 * :class:`RunRequest` — a declarative, picklable description of one
   simulation (workload name, scale, machine preset, mode, overrides).
 * :func:`execute_request` — materialize and run one request (also the
-  process-pool worker).
+  process-pool worker). Every request is a window schedule, run by one
+  path: its :class:`~repro.harness.fastforward.SamplePlan`
+  (:func:`~repro.harness.fastforward.request_plan`; full detail is one
+  depth-0 window without a snapshot), walked down its snapshot chain,
+  each window measured by :func:`run_window`, and the windows folded by
+  :func:`assemble_window_stats`. Which windows a halted program drops
+  is decided in :func:`kept_windows` alone.
 * :func:`run_matrix` — map requests to :class:`RunStats`, in input
   order, deduplicating identical requests, consulting the
   :class:`~repro.harness.cache.RunCache`, and fanning fresh runs out
@@ -245,16 +251,14 @@ def _apply_override(config, path: str, value):
     return dataclasses.replace(config, **{head: value})
 
 
-def _dispatch_mode(
-    request: RunRequest, workload, config, snapshot, warmup, region
+def run_window(
+    request: RunRequest, workload, config, plan, snapshot, hit: bool
 ) -> RunStats:
-    """Run one detailed window of *request*'s mode.
-
-    Shared by the legacy single-window path and each window of a
-    multi-region run. The ``snapshot is None, warmup == 0,
-    region is None`` combination constructs the Core exactly as a
-    full-detail run (bit-identical stats discipline).
-    """
+    """Run one detailed window of *request*'s mode from *snapshot*
+    (``None``: cold, at the entry point), discarding ``plan.warmup``
+    and measuring ``plan.sample`` committed instructions (``0``: the
+    workload's full region, exactly as a full-detail run). A restored
+    window is stamped with its prefix length and store hit."""
     from repro.harness.runner import (
         covered_problem_spec,
         run_baseline,
@@ -263,114 +267,104 @@ def _dispatch_mode(
     )
 
     mode = request.mode
-    event_driven = request.event_driven
-    fused_blocks = request.fused_blocks
-    sampled = dict(snapshot=snapshot, warmup=warmup or 0, region=region)
-
+    options = dict(
+        event_driven=request.event_driven,
+        fused_blocks=request.fused_blocks,
+        snapshot=snapshot,
+        warmup=plan.warmup,
+        region=plan.sample or None,
+    )
     if mode == "base":
-        return run_baseline(
-            workload, config, event_driven=event_driven,
-            fused_blocks=fused_blocks, **sampled,
+        stats = run_baseline(workload, config, **options)
+    elif mode == "slice":
+        stats = run_with_slices(
+            workload, config, dedicated=request.dedicated, **options
         )
-    if mode == "slice":
-        return run_with_slices(
-            workload,
-            config,
-            dedicated=request.dedicated,
-            event_driven=event_driven,
-            fused_blocks=fused_blocks,
-            **sampled,
+    elif mode == "limit":
+        spec = covered_problem_spec(workload)
+        stats = run_perfect(workload, spec, config, **options)
+    else:  # mode == "perfect"
+        spec = PerfectSpec(
+            branch_pcs=frozenset(request.perfect_branch_pcs),
+            load_pcs=frozenset(request.perfect_load_pcs),
+            all_branches=request.all_branches,
+            all_loads=request.all_loads,
         )
-    if mode == "limit":
-        return run_perfect(
-            workload,
-            covered_problem_spec(workload),
-            config,
-            event_driven=event_driven,
-            fused_blocks=fused_blocks,
-            **sampled,
-        )
-    # mode == "perfect"
-    spec = PerfectSpec(
-        branch_pcs=frozenset(request.perfect_branch_pcs),
-        load_pcs=frozenset(request.perfect_load_pcs),
-        all_branches=request.all_branches,
-        all_loads=request.all_loads,
+        stats = run_perfect(workload, spec, config, **options)
+    if snapshot is not None:
+        stats.ff_insts = snapshot.executed
+        stats.snapshot_hit = hit
+    return stats
+
+
+def kept_windows(windows, depths, reached):
+    """The halt-drop rule, decided here and nowhere else: yield
+    *windows* (paired in order with their chain *depths*) up to the
+    first one after the first whose functional prefix, ``reached(w)``
+    instructions long, halted short of its depth. ``workload.region`` is
+    a ceiling, not a promise: past the halt there is nothing to
+    measure. The first window is always kept (a ``fast_forward`` past
+    the program's end still measures what is there). A missing window
+    (``None``) is yielded last: whether anything after it is needed
+    cannot be told. *windows* is consumed lazily, never past the first
+    dropped or missing one."""
+    for index, (window, depth) in enumerate(zip(windows, depths)):
+        if window is None:
+            yield None
+            return
+        if index:
+            ff_insts = reached(window)
+            if ff_insts < depth:
+                return
+        yield window
+
+
+def chain_windows(workload, config, plan):
+    """Walk *plan*'s snapshot chain in one functional pass (see
+    :func:`~repro.harness.fastforward.iter_chain`), yielding
+    ``(snapshot, hit)`` per window the halt-drop rule keeps, each
+    releasable before the next member is touched."""
+    from repro.harness.fastforward import iter_chain
+
+    return kept_windows(
+        iter_chain(workload, config, plan.depths),
+        plan.depths,
+        lambda member: member[0].executed,
     )
-    return run_perfect(
-        workload, spec, config, event_driven=event_driven,
-        fused_blocks=fused_blocks, **sampled,
-    )
 
 
-def _execute_multi_region(request: RunRequest, workload, config) -> RunStats:
-    """Multi-region sampled execution: one detailed window per chain
-    member, aggregated into a whole-run estimate with a confidence
-    interval.
-
-    Consumes :func:`~repro.harness.fastforward.iter_chain` as a
-    stream — each window's snapshot is restored, measured, and
-    released before the next member is touched, so at most one memory
-    image beyond the running window is live at a time.
-    """
-    from repro.harness.fastforward import _plan_for_request, iter_chain
+def assemble_window_stats(per_window, depths) -> RunStats | None:
+    """Fold per-window stats, in depth order, into the request's
+    result: a one-window schedule's stats unchanged, else the aggregate
+    (with its confidence interval) of the windows :func:`kept_windows`
+    keeps; ``None`` if a kept window is missing (``None``).
+    *per_window* is consumed lazily, so windows past a halt need not
+    exist at all."""
     from repro.uarch.stats import aggregate_stats
 
-    plan = _plan_for_request(request, workload)
-    per_region: list[RunStats] = []
-    for snapshot, hit in iter_chain(workload, config, plan.depths):
-        if (
-            snapshot is not None
-            and snapshot.executed < snapshot.ff_insts
-            and per_region
-        ):
-            # The program halted before this window's start
-            # (``workload.region`` is a ceiling, not a promise): there
-            # is nothing left to measure, so later windows are dropped
-            # rather than polluting the estimate with empty regions.
-            # The first window always runs (legacy degenerate
-            # semantics when fast_forward overshoots the program).
-            break
-        stats = _dispatch_mode(
-            request, workload, config, snapshot, plan.warmup, plan.sample
-        )
-        if snapshot is not None:
-            stats.ff_insts = snapshot.executed
-            stats.snapshot_hit = hit
-        per_region.append(stats)
-    return aggregate_stats(per_region)
+    kept = list(kept_windows(per_window, depths, lambda s: s.ff_insts))
+    if kept[-1] is None:
+        return None
+    if len(depths) == 1:
+        return kept[0]
+    return aggregate_stats(kept)
 
 
 def execute_request(request: RunRequest) -> RunStats:
-    """Build and run one request. Top-level so the pool can pickle it."""
+    """Build and run one request's window schedule
+    (:func:`~repro.harness.fastforward.request_plan`) in order, each
+    window measured as its chain member is reached. Top-level so the
+    pool can pickle it."""
+    from repro.harness.fastforward import request_plan
+
     workload = registry.build(request.workload, scale=request.scale)
     config = request.resolve_config()
-
-    if request.sample_regions >= 2:
-        return _execute_multi_region(request, workload, config)
-
-    # Single-window sampled run: fetch (or build) the warmed snapshot
-    # and translate the sample length into the region + discard-window
-    # pair. The fast_forward == sample == 0 path must construct the
-    # Core exactly as before (bit-identical stats discipline).
-    snapshot = None
-    snapshot_hit = False
-    region = warmup = None
-    if request.fast_forward > 0 or request.sample > 0:
-        from repro.harness.fastforward import ensure_snapshot, sample_plan
-
-        region, warmup = sample_plan(request.sample)
-        if request.fast_forward > 0:
-            snapshot, snapshot_hit = ensure_snapshot(
-                workload, config, request.fast_forward
-            )
-    stats = _dispatch_mode(
-        request, workload, config, snapshot, warmup, region
-    )
-    if snapshot is not None:
-        stats.ff_insts = snapshot.executed
-        stats.snapshot_hit = snapshot_hit
-    return stats
+    plan = request_plan(request, workload)
+    per_window = [
+        run_window(request, workload, config, plan, snapshot, hit)
+        for snapshot, hit in chain_windows(workload, config, plan)
+    ]
+    return assemble_window_stats(per_window, plan.depths)
 
 
 def window_request(request: RunRequest, depth: int) -> RunRequest:
@@ -379,9 +373,10 @@ def window_request(request: RunRequest, depth: int) -> RunRequest:
 
     A window at chain depth *d* is exactly the single-window sampled
     run ``fast_forward=d, sample=request.sample``: same snapshot-store
-    key, same warmup/region pair, same dispatch — so executing the
-    derived request is bit-identical to the serial loop's iteration at
-    that depth (the oracle the differential tests assert against).
+    key, same warmup/region pair, same :func:`run_window` — so
+    executing the derived request is bit-identical to
+    :func:`execute_request`'s window at that depth (the oracle the
+    differential tests assert against).
     """
     return dataclasses.replace(
         request, fast_forward=depth, sample_regions=0, sample_period=0
@@ -412,23 +407,12 @@ class _WindowUnit:
 
 
 def window_depths(request: RunRequest) -> tuple[int, ...]:
-    """The chain depths of a multi-region request's windows.
+    """The chain depths of *request*'s window schedule: closed-form,
+    with no workload build, unless a multi-region request derives its
+    period (the experiment service's submit path relies on this)."""
+    from repro.harness.fastforward import request_plan
 
-    With an explicit ``sample_period`` the schedule is closed-form (no
-    workload build needed — the experiment service's submit path relies
-    on this); a derived period needs the workload's region length.
-    """
-    from repro.harness.fastforward import _plan_for_request, build_sample_plan
-
-    if request.sample_period > 0:
-        return build_sample_plan(
-            0,
-            request.fast_forward,
-            request.sample,
-            request.sample_regions,
-            request.sample_period,
-        ).depths
-    return _plan_for_request(request).depths
+    return request_plan(request).depths
 
 
 def window_schedule(request: RunRequest) -> list[_WindowUnit]:
@@ -446,93 +430,36 @@ def window_schedule(request: RunRequest) -> list[_WindowUnit]:
     ]
 
 
-def assemble_window_stats(per_window, depths) -> RunStats:
-    """Fold per-window stats back into the whole-run aggregate, with
-    the halt-drop rule reproduced exactly.
-
-    The serial loop breaks at the first chain member whose functional
-    prefix halted short of its requested depth (``executed <
-    ff_insts``), keeping the first window unconditionally (legacy
-    degenerate semantics when ``fast_forward`` overshoots the program).
-    A window's stats carry ``ff_insts = snapshot.executed``, so the
-    same rule here is ``stats.ff_insts < depth``: every window at or
-    after the first short member is discarded, making the assembled
-    aggregate bit-identical to :func:`_execute_multi_region` no matter
-    how (or when, for cached windows) the windows were measured.
-    """
-    from repro.uarch.stats import aggregate_stats
-
-    kept: list[RunStats] = []
-    for stats, depth in zip(per_window, depths):
-        if depth > 0 and stats.ff_insts < depth and kept:
-            break
-        kept.append(stats)
-    return aggregate_stats(kept)
-
-
 def _assemble_outcome(
-    request: RunRequest,
-    units,
-    window_cached,
-    unit_outcomes,
+    request: RunRequest, units, window_outcomes
 ) -> "RequestOutcome":
-    """Reassemble one exploded request from its windows' outcomes.
+    """Reassemble one exploded request from its windows' outcomes,
+    cached or measured, through :func:`assemble_window_stats`. A failed
+    window fails the whole request unless a short chain member before
+    it already dropped it."""
+    pulled: list[RequestOutcome] = []
 
-    Walks the schedule in depth order applying the serial loop's
-    halt-drop rule (see :func:`assemble_window_stats`); a window that
-    failed (skipped after exhausting retries) fails the whole request
-    unless an earlier short chain member already dropped it.
-    """
-    from repro.uarch.stats import aggregate_stats
+    def measured():
+        for unit in units:
+            pulled.append(window_outcomes[unit.key])
+            yield pulled[-1].stats
 
-    kept: list[RunStats] = []
-    attempts = 0
-    hits = 0
-    latency = 0.0
-    missing: str | None = None
-    for unit in units:
-        cached = window_cached.get(unit.key)
-        stats = cached
-        if stats is None:
-            outcome = unit_outcomes.get(unit.key)
-            if outcome is not None:
-                attempts += outcome.attempts
-                latency = max(latency, outcome.latency)
-                stats = outcome.stats
-            if stats is None:
-                missing = (
-                    outcome.error
-                    if outcome is not None and outcome.error
-                    else f"window at depth {unit.depth} was not measured"
-                )
-                break
-        if unit.depth > 0 and stats.ff_insts < unit.depth and kept:
-            # Halt-drop: the chain halted short of this window's start;
-            # it and every later window are discarded, exactly as the
-            # serial loop would never have run them.
-            break
-        if cached is not None:
-            hits += 1
-        kept.append(stats)
-    if missing is not None:
-        return RequestOutcome(
-            request,
-            "skipped",
-            None,
-            attempts=attempts,
-            error=missing,
-            latency=latency,
-            windows=len(units),
-            window_hits=hits,
-        )
+    stats = assemble_window_stats(measured(), [unit.depth for unit in units])
+    if stats is None:  # the last window pulled failed
+        status, kept = "skipped", pulled[:-1]
+        depth = units[len(kept)].depth
+        error = pulled[-1].error or f"window at depth {depth} failed"
+    else:
+        status, error, kept = "ok", None, pulled[: stats.sample_regions]
     return RequestOutcome(
         request,
-        "ok",
-        aggregate_stats(kept),
-        attempts=attempts,
-        latency=latency,
+        status,
+        stats,
+        attempts=sum(outcome.attempts for outcome in pulled),
+        error=error,
+        latency=max((outcome.latency for outcome in pulled), default=0.0),
         windows=len(units),
-        window_hits=hits,
+        window_hits=sum(outcome.status == "cached" for outcome in kept),
     )
 
 
@@ -553,15 +480,16 @@ def _window_store(cache):
     return store
 
 
-def _pool_entry(item, attempt: int, fault_plan) -> RunStats:
-    """Pool worker: apply any planned fault, then run the item — an
-    ordinary :class:`RunRequest` or one :class:`_WindowUnit` of an
-    exploded multi-region request."""
+def _pool_entry(
+    item, attempt: int, fault_plan, in_process: bool = False
+) -> RunStats:
+    """Run one matrix item after applying any planned fault: a whole
+    :class:`RunRequest`, or one :class:`_WindowUnit` of an exploded
+    multi-region request (which runs its derived single-window
+    request)."""
     if fault_plan is not None:
-        fault_plan.perturb(item, attempt)
-    if isinstance(item, _WindowUnit):
-        return execute_request(item.request)
-    return execute_request(item)
+        fault_plan.perturb(item, attempt, in_process=in_process)
+    return execute_request(getattr(item, "request", item))
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -576,12 +504,14 @@ def resolve_window_jobs(window_jobs: int | None, jobs: int | None = None) -> int
     """Window-level parallelism: explicit arg, else ``REPRO_WINDOW_JOBS``
     env (the ``--window-jobs`` CLI flag), else the matrix worker count.
 
-    ``1`` is the serial escape hatch (and bit-identity oracle): each
-    multi-region request measures its windows sequentially inside one
-    worker, exactly as before. Any value ``> 1`` explodes multi-region
-    requests into per-window work units scheduled through the same
-    pool as ordinary matrix entries. ``window_jobs`` is *not* part of
-    :class:`RunRequest` — it is pure execution strategy, so cache
+    ``1`` runs each request whole, in order: one pool item whose
+    windows :func:`execute_request` measures down the chain (the
+    bit-identity oracle). Any value ``> 1`` explodes multi-region
+    requests into per-window work units, each the
+    :func:`execute_request` of a :func:`window_request`, scheduled
+    through the same pool as ordinary matrix entries and folded by the
+    same :func:`assemble_window_stats`. ``window_jobs`` is *not* part
+    of :class:`RunRequest` — it is pure execution strategy, so cache
     fingerprints (and results) are identical either way.
     """
     if window_jobs is None:
@@ -804,17 +734,18 @@ def run_matrix(
     process pool when more than one worker is useful (or whenever a
     ``timeout`` is set — in-process execution cannot be preempted).
 
-    **Window-parallel sampling.** When window-level parallelism is on
-    (``window_jobs`` / ``REPRO_WINDOW_JOBS``; default: the matrix
-    worker count), every multi-region request is exploded after the
-    chain prebuild into per-window work units that fan out through the
-    same pool as ordinary entries — inheriting timeout/retry/respawn/
-    fault-plan semantics — and are reassembled in depth order with the
-    serial loop's halt-drop rule, bit-identically. Each window also
-    gets its own content-addressed entry in the ``windows`` cache
-    namespace, so a re-sweep with an overlapping schedule (8 -> 10
-    regions, say) recomputes only the new windows. ``window_jobs=1``
-    is the serial escape hatch and bit-identity oracle.
+    **Window-parallel sampling.** With ``window_jobs=1`` every request
+    runs whole, in order, as one pool item. When window-level
+    parallelism is on (``window_jobs`` / ``REPRO_WINDOW_JOBS``;
+    default: the matrix worker count), every multi-region request is
+    exploded after the chain prebuild into per-window work units that
+    fan out through the same pool as ordinary entries — inheriting
+    timeout/retry/respawn/fault-plan semantics — and are folded in
+    depth order by :func:`assemble_window_stats`, bit-identically to
+    the whole run. Each window also gets its own content-addressed
+    entry in the ``windows`` cache namespace, so a re-sweep with an
+    overlapping schedule (8 -> 10 regions, say) recomputes only the
+    new windows.
 
     Resilience knobs (see the module docstring for the failure model):
 
@@ -892,33 +823,32 @@ def run_matrix(
             prebuild_snapshots(
                 sampled, jobs=jobs, timeout=timeout, retries=retries
             )
-        # Two-level scheduling: explode multi-region requests into
-        # per-window units (first-class pool siblings of the plain
-        # requests), answering already-measured windows from the
-        # ``windows`` cache namespace.
+        # A request runs whole, as one pool item whose windows
+        # execute_request measures in order. With window parallelism
+        # on, a multi-region request is exploded instead into its
+        # per-window units (first-class pool siblings of the whole
+        # requests), and windows already measured are answered from
+        # the ``windows`` cache namespace.
         window_jobs_n = resolve_window_jobs(window_jobs, jobs)
         plans: dict[RunRequest, list[_WindowUnit]] = {}
-        window_cached: dict[str, RunStats] = {}
+        window_outcomes: dict[str, RequestOutcome] = {}
         units_by_key: dict[str, _WindowUnit] = {}
-        windows_store = None
+        windows_store = _window_store(cache) if window_jobs_n > 1 else None
         if window_jobs_n > 1:
-            multi = [r for r in pending if r.sample_regions >= 2]
-            if multi:
-                windows_store = _window_store(cache)
-                for request in multi:
-                    units = window_schedule(request)
-                    plans[request] = units
-                    for unit in units:
-                        if (
-                            unit.key in window_cached
-                            or unit.key in units_by_key
-                        ):
-                            continue
-                        stats = windows_store.get(unit.key)
-                        if stats is not None:
-                            window_cached[unit.key] = stats
-                        else:
-                            units_by_key[unit.key] = unit
+            for request in pending:
+                if request.sample_regions < 2:
+                    continue
+                units = plans[request] = window_schedule(request)
+                for unit in units:
+                    if unit.key in window_outcomes or unit.key in units_by_key:
+                        continue
+                    stats = windows_store.get(unit.key)
+                    if stats is not None:
+                        window_outcomes[unit.key] = RequestOutcome(
+                            unit, "cached", stats
+                        )
+                    else:
+                        units_by_key[unit.key] = unit
         plain = [r for r in pending if r not in plans]
         pool_items: list = plain + list(units_by_key.values())
         executed: dict = {}
@@ -949,18 +879,15 @@ def run_matrix(
                     report=report,
                 )
         # Publish fresh windows to their namespace, then reassemble
-        # each exploded request in depth order (halt-drop applied at
-        # assembly). Failed windows surface on the parent outcome.
-        unit_outcomes: dict[str, RequestOutcome] = {}
-        for item in list(executed):
-            if isinstance(item, _WindowUnit):
-                outcome = executed.pop(item)
-                unit_outcomes[item.key] = outcome
-                if outcome.status == "ok" and windows_store is not None:
-                    windows_store.put(item.key, outcome.stats)
+        # each exploded request (halt-drop is decided at assembly).
+        # Failed windows surface on the parent outcome.
+        for key, unit in units_by_key.items():
+            outcome = window_outcomes[key] = executed.pop(unit)
+            if outcome.status == "ok":
+                windows_store.put(key, outcome.stats)
         for request, units in plans.items():
             executed[request] = _assemble_outcome(
-                request, units, window_cached, unit_outcomes
+                request, units, window_outcomes
             )
         for request, outcome in executed.items():
             if outcome.status == "ok":
@@ -1094,12 +1021,8 @@ def _execute_inline(
                 report.retries += 1
                 time.sleep(_backoff_delay(backoff_base, request, attempt))
             try:
-                if fault_plan is not None:
-                    fault_plan.perturb(request, attempt, in_process=True)
-                stats = execute_request(
-                    request.request
-                    if isinstance(request, _WindowUnit)
-                    else request
+                stats = _pool_entry(
+                    request, attempt, fault_plan, in_process=True
                 )
             except Exception as exc:  # noqa: BLE001 — retry boundary
                 error = exc

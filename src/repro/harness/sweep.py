@@ -11,7 +11,7 @@ with a single ``overrides`` entry and executed through
 :func:`~repro.harness.parallel.run_matrix`, so sweep points run in
 parallel and repeat renders hit the on-disk cache. A workload built
 outside the registry (or a non-preset config) falls back to direct
-sequential simulation.
+sequential simulation over the same window schedule.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.harness.cache import RunCache
-from repro.harness.fastforward import (
-    SnapshotStore,
-    build_sample_plan,
-    ensure_snapshot,
-    iter_chain,
-    sample_plan,
+from repro.harness.fastforward import request_plan
+from repro.harness.parallel import (
+    CONFIG_PRESETS,
+    RunRequest,
+    _apply_override,
+    assemble_window_stats,
+    chain_windows,
+    run_matrix,
+    run_window,
 )
-from repro.harness.parallel import CONFIG_PRESETS, RunRequest, run_matrix
-from repro.harness.runner import run_baseline, run_with_slices
 from repro.uarch.config import FOUR_WIDE, MachineConfig
-from repro.uarch.stats import RunStats, aggregate_stats, mean_ci95
+from repro.uarch.stats import RunStats, mean_ci95
 from repro.workloads import registry
 from repro.workloads.base import Workload
 
@@ -98,98 +99,51 @@ def _sweep(
     warming-relevant sub-configs, so the architectural prefix is paid
     once for the whole sweep (``run_matrix`` pre-builds it).
     """
+    # The arms carry mode and sampling. The matrix path names the preset
+    # and override in each request; the direct path passes the varied
+    # config to each window as is, walking one chain per point with both
+    # arms measured on each member, so their regions stay paired for
+    # the speedup confidence interval.
+    arms = [
+        RunRequest(
+            workload.name,
+            workload.scale,
+            mode=mode,
+            fast_forward=fast_forward,
+            sample=sample,
+            sample_regions=sample_regions,
+            sample_period=sample_period,
+        )
+        for mode in ("base", "slice")
+    ]
     if _requestable(workload, config):
-        requests = []
-        for value in values:
-            overrides = ((override_path, value),)
-            for mode in ("base", "slice"):
-                requests.append(
-                    RunRequest(
-                        workload=workload.name,
-                        scale=workload.scale,
-                        mode=mode,
-                        config=config.name,
-                        overrides=overrides,
-                        fast_forward=fast_forward,
-                        sample=sample,
-                        sample_regions=sample_regions,
-                        sample_period=sample_period,
-                    )
-                )
+        requests = [
+            dataclasses.replace(
+                arm, config=config.name, overrides=((override_path, value),)
+            )
+            for value in values
+            for arm in arms
+        ]
         stats = run_matrix(requests, jobs=jobs, cache=cache)
         return [
             SweepPoint(value=value, base=stats[2 * i], assisted=stats[2 * i + 1])
             for i, value in enumerate(values)
         ]
-    multi = sample_regions >= 2
-    region, warmup = sample_plan(sample)
-    store = SnapshotStore() if (fast_forward > 0 or multi) else None
+    plan = request_plan(arms[0], workload)
     points = []
     for value in values:
-        varied = _apply(config, override_path, value)
-        if multi:
-            # Direct multi-region pair: both arms measure the same
-            # chain members, so their regions stay paired for the
-            # speedup confidence interval.
-            plan = build_sample_plan(
-                workload.region, fast_forward, sample,
-                sample_regions, sample_period,
-            )
-            base_regions: list[RunStats] = []
-            slice_regions: list[RunStats] = []
-            for snapshot, hit in iter_chain(
-                workload, varied, plan.depths, store=store
-            ):
-                if (
-                    snapshot is not None
-                    and snapshot.executed < snapshot.ff_insts
-                    and base_regions
-                ):
-                    break  # program halted before this window's start
-                sampled = dict(
-                    snapshot=snapshot, warmup=plan.warmup, region=plan.sample
+        varied = _apply_override(config, override_path, value)
+        per_arm: tuple[list[RunStats], ...] = ([], [])
+        for snapshot, hit in chain_windows(workload, varied, plan):
+            for arm, windows in zip(arms, per_arm):
+                windows.append(
+                    run_window(arm, workload, varied, plan, snapshot, hit)
                 )
-                pair = (
-                    run_baseline(workload, varied, **sampled),
-                    run_with_slices(workload, varied, **sampled),
-                )
-                if snapshot is not None:
-                    for stats in pair:
-                        stats.ff_insts = snapshot.executed
-                        stats.snapshot_hit = hit
-                base_regions.append(pair[0])
-                slice_regions.append(pair[1])
-            points.append(
-                SweepPoint(
-                    value=value,
-                    base=aggregate_stats(base_regions),
-                    assisted=aggregate_stats(slice_regions),
-                )
-            )
-            continue
-        snapshot = None
-        if fast_forward > 0:
-            # The store's warm-config key dedups across points whose
-            # varied parameter does not shape warmed state.
-            snapshot, _ = ensure_snapshot(
-                workload, varied, fast_forward, store=store
-            )
-        sampled = dict(snapshot=snapshot, warmup=warmup, region=region)
-        points.append(
-            SweepPoint(
-                value=value,
-                base=run_baseline(workload, varied, **sampled),
-                assisted=run_with_slices(workload, varied, **sampled),
-            )
+        base, assisted = (
+            assemble_window_stats(windows, plan.depths) for windows in per_arm
         )
+        points.append(SweepPoint(value=value, base=base, assisted=assisted))
     return points
-
-
-def _apply(config, path: str, value):
-    head, _, rest = path.partition(".")
-    if rest:
-        value = _apply(getattr(config, head), rest, value)
-    return dataclasses.replace(config, **{head: value})
 
 
 def sweep_memory_latency(

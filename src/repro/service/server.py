@@ -34,12 +34,11 @@ import hashlib
 import json
 import logging
 
-from repro.harness.cache import fingerprint, window_fingerprint
-from repro.harness.parallel import window_depths, window_request
+from repro.harness.cache import fingerprint
+from repro.harness.parallel import assemble_window_stats, window_schedule
 from repro.service.codec import decode_request, encode_request, encode_stats
 from repro.service.queue import JobQueue
 from repro.service.store import ContentStore
-from repro.uarch.stats import aggregate_stats
 
 log = logging.getLogger(__name__)
 
@@ -177,26 +176,23 @@ class ExperimentServer:
         if request.sample_regions < 2 or request.sample_period <= 0:
             _, fresh = self.queue.submit(request)
             return None, int(fresh)
-        depths = window_depths(request)
-        windows = [
-            (depth, window_fingerprint(request, depth)) for depth in depths
-        ]
+        units = window_schedule(request)
         self.queue.save_assembly(
             key,
             {
                 "request": encode_request(request),
-                "windows": [[depth, wkey] for depth, wkey in windows],
+                "windows": [[unit.depth, unit.key] for unit in units],
             },
         )
         stats, _error = self._assemble(key)
         if stats is not None:
             return stats, 0
         enqueued = 0
-        for depth, wkey in windows:
-            if self.store.windows.get(wkey) is not None:
+        for unit in units:
+            if self.store.windows.get(unit.key) is not None:
                 continue
             _, fresh = self.queue.submit(
-                window_request(request, depth), kind="window", key=wkey
+                unit.request, kind="window", key=unit.key
             )
             enqueued += int(fresh)
         self.counters["window_jobs"] += enqueued
@@ -205,10 +201,10 @@ class ExperimentServer:
     def _assemble(self, key: str) -> tuple[object, str | None]:
         """Try to reassemble run-cache key *key* from its windows.
 
-        Walks the registered assembly in depth order with the serial
-        loop's halt-drop rule (the windows-cache mirror of
-        :func:`~repro.harness.parallel.assemble_window_stats`): a short
-        chain member ends the walk, so a halted chain is served even
+        Feeds the registered windows, in depth order, from the
+        ``windows`` namespace to
+        :func:`~repro.harness.parallel.assemble_window_stats`, which
+        stops at a short chain member, so a halted chain is served even
         while its never-needed tail windows are missing. Returns
         ``(stats, None)`` on success — publishing the aggregate to the
         run cache so every later poll is a plain O(1) hit —
@@ -219,20 +215,23 @@ class ExperimentServer:
         assembly = self.queue.load_assembly(key)
         if assembly is None:
             return None, None
-        kept = []
-        for depth, wkey in assembly["windows"]:
-            stats = self.store.windows.get(wkey)
-            if stats is None:
-                job = self.queue.job(wkey)
-                if job is not None and job.status == "failed":
-                    return None, (
-                        f"window at depth {depth}: {job.error or 'failed'}"
-                    )
-                return None, None
-            if depth > 0 and stats.ff_insts < depth and kept:
-                break
-            kept.append(stats)
-        aggregate = aggregate_stats(kept)
+        windows = assembly["windows"]
+        read: list[tuple[int, str]] = []
+
+        def stored():
+            for window in windows:
+                read.append(window)
+                yield self.store.windows.get(window[1])
+
+        aggregate = assemble_window_stats(
+            stored(), [depth for depth, _ in windows]
+        )
+        if aggregate is None:  # the last window read is missing
+            depth, wkey = read[-1]
+            job = self.queue.job(wkey)
+            if job is not None and job.status == "failed":
+                return None, f"window at depth {depth}: {job.error or 'failed'}"
+            return None, None
         request = decode_request(assembly["request"])
         self.store.runs.put(request, aggregate)
         self.counters["assembled"] += 1
@@ -299,18 +298,22 @@ class ExperimentServer:
                 writer.close()
                 return
             method, path = parts[0], parts[1]
-            length = 0
+            length = "0"
             while True:
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            if length > MAX_BODY_BYTES:
+                    length = value.strip()
+            if not (length.isascii() and length.isdigit()):
+                status, payload = 400, {
+                    "error": f"bad Content-Length {length!r}"
+                }
+            elif int(length) > MAX_BODY_BYTES:
                 status, payload = 413, {"error": "body too large"}
             else:
-                body = await reader.readexactly(length) if length else b""
+                body = await reader.readexactly(int(length))
                 try:
                     status, payload = self._route(method, path, body)
                 except Exception as exc:  # noqa: BLE001 — boundary

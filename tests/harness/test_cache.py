@@ -154,3 +154,61 @@ def test_clear_sweeps_quarantine_too(cache):
     cache.put(REQUEST, execute_request(REQUEST))
     # One live entry + one quarantined entry.
     assert cache.clear() == 2
+
+
+# ----------------------------------------------------------------------
+# Golden cache keys: warm caches and committed goldens must survive
+# refactors of the execution path.
+# ----------------------------------------------------------------------
+
+_GOLDEN_SOURCE = "0" * 64
+_PINNED = dict(event_driven=True, fused_blocks=True)
+
+
+def test_golden_cache_keys():
+    """``fingerprint``, ``window_fingerprint`` and
+    ``snapshot_fingerprint`` for a full-detail, a single-window sampled
+    and a multi-region request, under a fixed source hash. A change to
+    any of these hex values invalidates every existing cache entry, so
+    it needs a schema bump and a note, not a silent re-key."""
+    from repro.harness.cache import window_fingerprint
+    from repro.harness.fastforward import snapshot_fingerprint
+    from repro.uarch.config import EIGHT_WIDE, FOUR_WIDE
+
+    full = RunRequest(
+        "mcf", 0.2, mode="base", fast_forward=0, sample=0,
+        sample_regions=0, sample_period=0, **_PINNED,
+    )
+    single = RunRequest(
+        "gzip", 0.1, mode="slice", fast_forward=2_000, sample=500,
+        sample_regions=0, sample_period=0, **_PINNED,
+    )
+    multi = RunRequest(
+        "mcf", 0.2, mode="limit", config="8-wide",
+        overrides=(("memory_latency", 400),), fast_forward=1_000,
+        sample=300, sample_regions=4, sample_period=1_000, **_PINNED,
+    )
+    assert fingerprint(full, _GOLDEN_SOURCE) == (
+        "ced294da0644caa7fd764e77571580fbc5496497d1d7d4a6256fd1e51fe6ee8e"
+    )
+    assert fingerprint(single, _GOLDEN_SOURCE) == (
+        "4cc7e3e01b5d3bb57dad4555308508dc8b37fccd18ea9fad5f184e1f21b93ffd"
+    )
+    assert fingerprint(multi, _GOLDEN_SOURCE) == (
+        "dd2650f495c32e6d8f6050670095f225db405856f6c12988d3172d90a7aff43a"
+    )
+    assert window_fingerprint(single, 2_000, _GOLDEN_SOURCE) == (
+        "3de30b7f88058f9612474b2d04025f39390d415e260ec1b1e0c09a5efa45b8b4"
+    )
+    assert window_fingerprint(multi, 3_000, _GOLDEN_SOURCE) == (
+        "808c1adcda2aedd15b47a56266011520c5a4f5904b44faf5425e84a74f596104"
+    )
+    assert snapshot_fingerprint(
+        "gzip", 0.1, 2_000, FOUR_WIDE, True, _GOLDEN_SOURCE
+    ) == "5cbe0a578db42450fc8d6b16eb7fd22f57f2748e795e060820f482b64592f026"
+    assert snapshot_fingerprint(
+        "mcf", 0.2, 3_000, EIGHT_WIDE, True, _GOLDEN_SOURCE
+    ) == "9c9636a09fced54d11ed7eaafec630d1c2b3cbb6cd751a880445c0cb186d198e"
+    assert snapshot_fingerprint(
+        "mcf", 0.2, 3_100, EIGHT_WIDE, False, _GOLDEN_SOURCE
+    ) == "3eadd4131828146be4537bf4705267e9eef16f354399f80177b8035410821d0a"

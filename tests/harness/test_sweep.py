@@ -58,3 +58,37 @@ def test_render_sweep_format():
     text = render_sweep("Sweep: window", "entries", points)
     assert "Sweep: window" in text
     assert "64" in text and "%" in text
+
+
+def test_direct_sweep_matches_matrix_path(tmp_path, monkeypatch):
+    """A non-preset config cannot become a RunRequest, so the sweep
+    measures it directly; with the preset's values under another name
+    it must give the matrix path's stats (config name masked), halted
+    chain included: mcf@0.2 halts at ~11.1k instructions, so the
+    depth-15k window is dropped and 3 of 4 regions remain."""
+    import dataclasses
+
+    from repro.harness.cache import RunCache
+    from repro.uarch.config import FOUR_WIDE
+    from repro.uarch.stats import stats_digest
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    sampling = dict(sample=500, sample_regions=4, sample_period=5_000)
+    workload = registry.build("mcf", 0.2)
+    direct = sweep_memory_latency(
+        workload, (100, 400),
+        config=dataclasses.replace(FOUR_WIDE, name="custom"), **sampling,
+    )
+    matrix = sweep_memory_latency(
+        workload, (100, 400), cache=RunCache(enabled=False), **sampling
+    )
+
+    def digest(stats):
+        return stats_digest(dataclasses.replace(stats, config_name=""))
+
+    for got, want in zip(direct, matrix):
+        assert got.value == want.value
+        for arm in ("base", "assisted"):
+            a, b = getattr(got, arm), getattr(want, arm)
+            assert digest(a) == digest(b), (got.value, arm)
+            assert a.sample_regions == b.sample_regions == 3

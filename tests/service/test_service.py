@@ -4,6 +4,7 @@ pool — same ``RunStats`` pickle bytes, same content-addressed cache
 keys — and a repeated sweep must be answered entirely from the
 ContentStore with zero jobs enqueued."""
 
+import json
 import pickle
 import threading
 
@@ -196,3 +197,25 @@ def test_sweep_id_is_content_addressed():
     keys = [fingerprint(request) for request in MATRIX]
     assert sweep_id(keys) == sweep_id(list(keys))
     assert sweep_id(keys) != sweep_id(keys[::-1])
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_rejected_with_400(service, length):
+    """A garbage or negative ``Content-Length`` gets a 400 response,
+    not a dropped connection, and the server keeps serving."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", service.port), 10) as sock:
+        sock.sendall(
+            b"POST /api/sweep HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n"
+        )
+        sock.settimeout(10)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 400 "), response
+    body = json.loads(response.partition(b"\r\n\r\n")[2])
+    assert "Content-Length" in body["error"]
+    client = ServiceClient(f"http://127.0.0.1:{service.port}")
+    assert client.healthz()

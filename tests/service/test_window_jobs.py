@@ -173,3 +173,27 @@ def test_queue_kind_and_assembly_roundtrip(tmp_path):
         assert queue.load_assembly("k1") == {"windows": []}
     finally:
         queue.close()
+
+
+def test_halted_chain_assembles_like_serial_run(server):
+    """Service-side halt-drop: mcf@0.2 halts at ~11.1k dynamic
+    instructions, so the depth-15k window is measured by its job but
+    dropped at assembly, exactly as the in-process run drops it."""
+    from repro.harness.cache import RunCache
+    from repro.harness.parallel import run_matrix
+
+    request = RunRequest(
+        workload="mcf", scale=0.2, mode="base",
+        sample=500, sample_regions=4, sample_period=5_000,
+    )
+    first = submit(server, [request])
+    assert first["enqueued"] == 4
+    drain(server, jobs=4)
+    polled = poll(server, first["sweep"])
+    assert polled["pending"] == [] and polled["failed"] == {}
+    got = decode_stats(polled["results"][fingerprint(request)])
+    want = run_matrix(
+        [request], jobs=1, cache=RunCache(enabled=False), window_jobs=1
+    )[0]
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert got.sample_regions == 3
