@@ -162,6 +162,23 @@ class Program:
         self._segment_heat.clear()
         self.block_version += 1
 
+    def fresh(self) -> "Program":
+        """A new Program over the same instructions, data image, and
+        symbols, with none of this one's block, segment, heat, or
+        warm-run caches. Heat and cached segments change run metadata
+        (``blocks_compiled``, ``block_deopts``), so a run that must not
+        depend on what ran before it in the process starts from a fresh
+        Program; the generated code itself is shared process-wide
+        (:func:`repro.uarch.fusion.compiled`)."""
+        return Program(
+            instructions=self.instructions,
+            base_pc=self.base_pc,
+            data=self.data,
+            labels=self.labels,
+            data_symbols=self.data_symbols,
+            entry_pc=self.entry_pc,
+        )
+
     def _discover_blocks(self) -> dict[int, BasicBlock]:
         step = INSTRUCTION_BYTES
         leaders: set[int] = {self.entry_pc if self.entry_pc is not None else self.base_pc}

@@ -49,6 +49,11 @@ DEFAULT_PORT = 8737
 #: real matrix, small enough to bound a bogus Content-Length).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a client gets to send one request's head and body. A client
+#: that stalls mid-request is disconnected instead of holding its
+#: connection (and its task) forever.
+READ_DEADLINE_S = 30.0
+
 
 def sweep_id(keys: list[str]) -> str:
     """Content address of a sweep: digest of its result keys in
@@ -292,28 +297,15 @@ class ExperimentServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                writer.close()
+            request = await asyncio.wait_for(
+                _read_request(reader), READ_DEADLINE_S
+            )
+            if request is None:
                 return
-            method, path = parts[0], parts[1]
-            length = "0"
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = value.strip()
-            if not (length.isascii() and length.isdigit()):
-                status, payload = 400, {
-                    "error": f"bad Content-Length {length!r}"
-                }
-            elif int(length) > MAX_BODY_BYTES:
-                status, payload = 413, {"error": "body too large"}
+            method, path, body = request
+            if isinstance(body, tuple):  # rejected before the body
+                status, payload = body
             else:
-                body = await reader.readexactly(int(length))
                 try:
                     status, payload = self._route(method, path, body)
                 except Exception as exc:  # noqa: BLE001 — boundary
@@ -331,6 +323,8 @@ class ExperimentServer:
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
+        except asyncio.TimeoutError:
+            log.warning("service client stalled mid-request; closing")
         finally:
             try:
                 writer.close()
@@ -354,6 +348,30 @@ class ExperimentServer:
     def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+
+
+async def _read_request(reader: asyncio.StreamReader):
+    """Read one request: ``(method, path, body)``, where *body* is the
+    raw bytes or, for a request rejected on its Content-Length, the
+    ``(status, payload)`` answer (the body is then never read).
+    ``None`` for a malformed request line."""
+    parts = (await reader.readline()).decode("latin-1").split()
+    if len(parts) < 2:
+        return None
+    method, path = parts[0], parts[1]
+    length = "0"
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = value.strip()
+    if not (length.isascii() and length.isdigit()):
+        return method, path, (400, {"error": f"bad Content-Length {length!r}"})
+    if int(length) > MAX_BODY_BYTES:
+        return method, path, (413, {"error": "body too large"})
+    return method, path, await reader.readexactly(int(length))
 
 
 def serve(

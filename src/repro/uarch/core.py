@@ -917,10 +917,12 @@ class Core:
         key = (pc, self._fuse_key)
         cached = cache.get(key)
         if cached is None:
-            # Hot-threshold: codegen costs ~0.5 ms a segment; a cold or
-            # wrong-path-only entry PC never earns that back. Warm up
-            # through the instruction tier first. Heat lives on the
-            # Program so it accumulates across Cores in-process.
+            # Hot-threshold: a first codegen costs ~2 ms a segment
+            # (``fusion.compiled`` keeps the code object process-wide
+            # after that); a cold or wrong-path-only entry PC never
+            # earns it back. Warm up through the instruction tier
+            # first. Heat lives on the Program so it accumulates
+            # across Cores over it.
             heat = program._segment_heat
             n = heat.get(key, 0) + 1
             if n < HOT_THRESHOLD:

@@ -219,3 +219,34 @@ def test_bad_content_length_is_rejected_with_400(service, length):
     assert "Content-Length" in body["error"]
     client = ServiceClient(f"http://127.0.0.1:{service.port}")
     assert client.healthz()
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [
+        b"POST /api/sweep HTTP/1.1\r\nHost: x\r\n",  # stalls mid-head
+        b"POST /api/sweep HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"re",
+    ],
+    ids=["head", "body"],
+)
+def test_stalled_client_is_closed_by_the_read_deadline(
+    service, monkeypatch, partial
+):
+    """A client that stops sending mid-request is disconnected after
+    ``READ_DEADLINE_S`` with no answer, and other clients are served
+    meanwhile and after."""
+    import socket
+    import time
+
+    from repro.service import server as server_module
+
+    monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.5)
+    client = ServiceClient(f"http://127.0.0.1:{service.port}")
+    with socket.create_connection(("127.0.0.1", service.port), 10) as sock:
+        sock.sendall(partial)
+        assert client.healthz()  # served while the stalled read waits
+        sock.settimeout(10)
+        start = time.monotonic()
+        assert sock.recv(4096) == b""  # closed without a response
+        assert time.monotonic() - start < 5
+    assert client.healthz()
